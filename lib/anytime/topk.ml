@@ -1,5 +1,3 @@
-open Urm_relalg
-
 (* Anytime top-k: stop as soon as the top-k *set* is stable at confidence
    1−δ.  The decision rule is the sampled analogue of the paper's LB/UB
    pruning: order observed tuples by estimate, take the best k as the
@@ -24,16 +22,7 @@ let ranked (view : Estimator.view) =
     (Lazy.force view.Estimator.counts)
     []
   |> List.sort (fun (ta, ca) (tb, cb) ->
-         let c = compare cb ca in
-         if c <> 0 then c
-         else
-           let rec go i =
-             if i >= Array.length ta then 0
-             else
-               let c = Value.compare ta.(i) tb.(i) in
-               if c <> 0 then c else go (i + 1)
-           in
-           go 0)
+         Urm.Answer.compare_ranked (ta, float_of_int ca) (tb, float_of_int cb))
 
 let separated ~k (view : Estimator.view) =
   let all = ranked view in

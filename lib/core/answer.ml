@@ -242,18 +242,54 @@ let compare_tuples a b =
   in
   go 0
 
+let compare_ranked (ta, pa) (tb, pb) =
+  let c = Float.compare pb pa in
+  if c <> 0 then c else compare_tuples ta tb
+
+let iter f t = tbl_iter (fun tuple id -> f tuple t.vals.(id)) t.rows
+
 let to_list t =
   tbl_fold (fun tuple id acc -> (tuple, t.vals.(id)) :: acc) t.rows []
-  |> List.sort (fun (ta, pa) (tb, pb) ->
-         let c = Float.compare pb pa in
-         if c <> 0 then c else compare_tuples ta tb)
+  |> List.sort compare_ranked
 
-let top_k t k = List.filteri (fun i _ -> i < k) (to_list t)
+(* Bounded selection: a k-slot heap of table slots whose root is the worst
+   kept candidate in {!compare_ranked} order.  Slots are ints, so the scan
+   compares unboxed probabilities (and tuples only on ties) and allocates
+   nothing per bucket; pairs are built for the k survivors alone.  The
+   ranking is a total order over distinct buckets, so the survivors and
+   their sorted order are exactly the first k entries of {!to_list}. *)
+let top_k t k =
+  let tb = t.rows in
+  if k >= tb.count then to_list t
+  else if k <= 0 then []
+  else
+    let worse_first i j =
+      let c = Float.compare t.vals.(tb.ids.(i)) t.vals.(tb.ids.(j)) in
+      if c <> 0 then c else compare_tuples tb.keys.(j) tb.keys.(i)
+    in
+    let heap = Urm_util.Heap.create worse_first in
+    Array.iteri
+      (fun i h ->
+        if h >= 0 then
+          if Urm_util.Heap.length heap < k then Urm_util.Heap.push heap i
+          else if worse_first i (Urm_util.Heap.peek heap) > 0 then begin
+            ignore (Urm_util.Heap.pop heap);
+            Urm_util.Heap.push heap i
+          end)
+      tb.hashes;
+    let kept = ref [] in
+    Urm_util.Heap.iter
+      (fun i -> kept := (tb.keys.(i), t.vals.(tb.ids.(i))) :: !kept)
+      heap;
+    List.sort compare_ranked !kept
+
 let size t = t.rows.count
 let total_prob t = tbl_fold (fun _ id acc -> acc +. t.vals.(id)) t.rows t.null_mass
 
 let prob_of t tuple =
   match tbl_find t.rows tuple with Some id -> t.vals.(id) | None -> 0.
+
+let mem t tuple = Option.is_some (tbl_find t.rows tuple)
 
 let approx_tuple_equal ta tb =
   Array.length ta = Array.length tb

@@ -73,11 +73,24 @@ val null_prob : t -> float
     cycles. *)
 val compact : ?eps:float -> t -> unit
 
-(** Distinct tuples with their probabilities, sorted by probability
-    descending (ties broken by tuple order, deterministically). *)
+(** The ranking order of answers: probability descending (by
+    [Float.compare]), ties broken by ascending tuple order
+    ({!Urm_relalg.Value.compare} position by position).  A total order over
+    distinct buckets, so every ranked rendering is deterministic. *)
+val compare_ranked :
+  Urm_relalg.Value.t array * float -> Urm_relalg.Value.t array * float -> int
+
+(** [iter f t] applies [f tuple p] to every bucket (θ excluded) in
+    unspecified order — no sorting, no allocation per bucket. *)
+val iter : (Urm_relalg.Value.t array -> float -> unit) -> t -> unit
+
+(** Distinct tuples with their probabilities in {!compare_ranked} order.
+    Sorts every bucket: O(n log n) for n distinct tuples. *)
 val to_list : t -> (Urm_relalg.Value.t array * float) list
 
-(** [top_k t k] the k most probable tuples (θ excluded). *)
+(** [top_k t k] the first [k] entries of {!to_list} (θ excluded), selected
+    with a k-element heap: O(n log k), allocating only the [k] survivors
+    ([k >= size t] falls back to {!to_list}). *)
 val top_k : t -> int -> (Urm_relalg.Value.t array * float) list
 
 (** Number of distinct tuples (θ excluded). *)
@@ -89,6 +102,9 @@ val total_prob : t -> float
 (** [prob_of t tuple] the accumulated probability of [tuple] ([0.] when
     absent). *)
 val prob_of : t -> Urm_relalg.Value.t array -> float
+
+(** [mem t tuple] whether [tuple] has a bucket. *)
+val mem : t -> Urm_relalg.Value.t array -> bool
 
 (** [equal ?eps a b] same outputs, same θ mass, and a one-to-one matching
     of [a]'s tuples onto [b]'s buckets (exact keys first, then approximate

@@ -31,6 +31,10 @@ type env = {
   c_eunits : Urm_obs.Metrics.counter;
   c_hits : Urm_obs.Metrics.counter;
   c_misses : Urm_obs.Metrics.counter;
+  (* Per-run counts.  The counters above live in the shared registry and
+     aggregate over every run of the process; these count this env only. *)
+  mutable eunits : int;
+  mutable hits : int;
   mutable tracer : (string -> unit) option;
 }
 
@@ -48,18 +52,20 @@ let make_env ?(seed = 1) ?(use_memo = true) ?(metrics = Urm_obs.Metrics.global)
     c_eunits = Urm_obs.Metrics.counter mu "executions";
     c_hits = Urm_obs.Metrics.counter mu "memo_hits";
     c_misses = Urm_obs.Metrics.counter mu "memo_misses";
+    eunits = 0;
+    hits = 0;
     tracer = None;
   }
 
 let counters env = env.ctrs
-let memo_hits env = Urm_obs.Metrics.value env.c_hits
+let memo_hits env = env.hits
 let set_tracer env f = env.tracer <- Some f
 
 let trace env fmt =
   match env.tracer with
   | None -> Format.ikfprintf (fun _ -> ()) Format.str_formatter fmt
   | Some f -> Format.kasprintf f fmt
-let eunits_created env = Urm_obs.Metrics.value env.c_eunits
+let eunits_created env = env.eunits
 let init q mappings = { pieces = []; pending = Query.operators q; mappings }
 let mass u = Mapping.total_prob u.mappings
 
@@ -77,6 +83,7 @@ let run_qs env expr =
   let fp = Algebra.fingerprint expr in
   match if env.use_memo then Hashtbl.find_opt env.memo fp else None with
   | Some r ->
+    env.hits <- env.hits + 1;
     Urm_obs.Metrics.incr env.c_hits;
     r
   | None ->
@@ -511,6 +518,7 @@ let exec_op env u op group =
    o-sharing driver can fan the root's partitions across domains while
    visiting (merging) them in exactly this order. *)
 let branches env u =
+  env.eunits <- env.eunits + 1;
   Urm_obs.Metrics.incr env.c_eunits;
   let op, groups = select_next env u in
   trace env "e-unit #%d (%d mappings, mass %.3f): next %a across %d partition(s)"

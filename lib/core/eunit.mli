@@ -61,7 +61,7 @@ val make_env :
 (** Operator/row counters of the run so far. *)
 val counters : env -> Urm_relalg.Eval.counters
 
-(** Memo hits of the run so far. *)
+(** Memo hits of this env's run so far. *)
 val memo_hits : env -> int
 
 (** [set_tracer env f] installs a trace sink: [f] receives one formatted
@@ -69,7 +69,7 @@ val memo_hits : env -> int
     emission) — the "explain" facility for o-sharing runs. *)
 val set_tracer : env -> (string -> unit) -> unit
 
-(** Number of e-units created so far (root included). *)
+(** Number of e-units this env created so far (root included). *)
 val eunits_created : env -> int
 
 (** [init ctx q representatives] the root e-unit: the full pending operator

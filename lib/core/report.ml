@@ -18,24 +18,13 @@ type t = {
   intervals : (Urm_relalg.Value.t array * (float * float)) list option;
 }
 
-(* Compare like Answer.to_list's tie-break so interval lists render
-   deterministically. *)
-let compare_tuples a b =
-  let rec go i =
-    if i >= Array.length a then 0
-    else
-      let c = Urm_relalg.Value.compare a.(i) b.(i) in
-      if c <> 0 then c else go (i + 1)
-  in
-  go 0
-
 let make ?intervals ?(engine = "") ~answer ~timings ~source_operators
     ~rows_produced ~groups () =
   let intervals =
     Option.map
+      (* Ranked by lower bound, like {!Answer.to_list}. *)
       (List.sort (fun (ta, (la, _)) (tb, (lb, _)) ->
-           let c = Float.compare lb la in
-           if c <> 0 then c else compare_tuples ta tb))
+           Answer.compare_ranked (ta, la) (tb, lb)))
       intervals
   in
   { answer; timings; source_operators; rows_produced; groups; engine; intervals }

@@ -17,7 +17,8 @@ let run ?(strategy = Eunit.Sef) ?seed ?use_memo
     (Urm_obs.Metrics.counter (Urm_obs.Metrics.scope m "eunit") "representatives");
   let env = Eunit.make_env ?seed ?use_memo ~metrics:m ~strategy ctx q in
   (* Candidate tuples with their accumulated lower-bound probability. *)
-  let table : (Value.t array, float ref) Hashtbl.t = Hashtbl.create 64 in
+  let header = Reformulate.output_header q in
+  let table = Answer.create header in
   let ub = ref 1.0 in
   let lb = ref 0.0 in
   let eps = Prob.eps in
@@ -27,12 +28,12 @@ let run ?(strategy = Eunit.Sef) ?seed ?use_memo
   let update_bounds_and_decide () =
     (* k-th largest lb via a bounded min-heap: O(n log k), no sorting. *)
     let heap = Urm_util.Heap.create Float.compare in
-    Hashtbl.iter
-      (fun _ r ->
-        if Urm_util.Heap.length heap < k then Urm_util.Heap.push heap !r
-        else if !r > Urm_util.Heap.peek heap then begin
+    Answer.iter
+      (fun _ p ->
+        if Urm_util.Heap.length heap < k then Urm_util.Heap.push heap p
+        else if p > Urm_util.Heap.peek heap then begin
           ignore (Urm_util.Heap.pop heap);
-          Urm_util.Heap.push heap !r
+          Urm_util.Heap.push heap p
         end)
       table;
     lb := (if Urm_util.Heap.length heap >= k then Urm_util.Heap.peek heap else 0.);
@@ -40,9 +41,9 @@ let run ?(strategy = Eunit.Sef) ?seed ?use_memo
     &&
     let survivors = ref 0 in
     (try
-       Hashtbl.iter
-         (fun _ r ->
-           if !r +. !ub > !lb +. eps then begin
+       Answer.iter
+         (fun _ p ->
+           if p +. !ub > !lb +. eps then begin
              incr survivors;
              if !survivors > k then raise Exit
            end)
@@ -59,11 +60,9 @@ let run ?(strategy = Eunit.Sef) ?seed ?use_memo
       | Eunit.Null_answer mass -> (mass, [])
       | Eunit.Tuples (tuples, mass) -> (mass, tuples)
     in
+    let track = !ub > !lb +. eps in
     List.iter
-      (fun t ->
-        match Hashtbl.find_opt table t with
-        | Some r -> r := !r +. mass
-        | None -> if !ub > !lb +. eps then Hashtbl.replace table t (ref mass))
+      (fun t -> if track || Answer.mem table t then Answer.add table t mass)
       tuples;
     ub := !ub -. mass;
     update_bounds_and_decide ()
@@ -72,33 +71,10 @@ let run ?(strategy = Eunit.Sef) ?seed ?use_memo
     Urm_util.Timer.time (fun () ->
         Eunit.run_qt env (Eunit.init q reps) ~emit:(fun leaf -> not (decide leaf)))
   in
-  let answer = Answer.create (Reformulate.output_header q) in
-  let compare_tuples ta tb =
-    let rec go i =
-      if i >= Array.length ta then 0
-      else
-        let c = Value.compare ta.(i) tb.(i) in
-        if c <> 0 then c else go (i + 1)
-    in
-    go 0
-  in
-  (* Select the k best candidates with a bounded min-heap (the table can be
-     much larger than k). *)
-  let worst_first (ta, a) (tb, b) =
-    let c = Float.compare a b in
-    if c <> 0 then c else compare_tuples tb ta
-  in
-  let heap = Urm_util.Heap.create worst_first in
-  Hashtbl.iter
-    (fun t r ->
-      let entry = (t, !r) in
-      if Urm_util.Heap.length heap < k then Urm_util.Heap.push heap entry
-      else if worst_first entry (Urm_util.Heap.peek heap) > 0 then begin
-        ignore (Urm_util.Heap.pop heap);
-        Urm_util.Heap.push heap entry
-      end)
-    table;
-  Urm_util.Heap.iter (fun (t, p) -> Answer.add answer t p) heap;
+  (* The k best candidates, by the same bounded selection that ranks every
+     answer (the table can be much larger than k). *)
+  let answer = Answer.create header in
+  List.iter (fun (t, p) -> Answer.add answer t p) (Answer.top_k table k);
   let ctrs = Eunit.counters env in
   let report =
     {

@@ -81,3 +81,100 @@ let value_of_json = function
   | Json.Num f -> Urm_relalg.Value.Float f
   | Json.Str s -> Urm_relalg.Value.Str s
   | _ -> failwith "Protocol.value_of_json: not a scalar"
+
+(* ------------------------------------------------------------------ *)
+(* Partial answers *)
+
+let encode_partials ~output ~key ~lo ~hi eval =
+  (* The dictionary interns tuples in an answer table: [add_id] hands out
+     dense insertion indices, i.e. first-seen order, under exactly the
+     bucket identity of the parts themselves. *)
+  let dict = Urm.Answer.create output in
+  let seen = ref [] in
+  let index tuple =
+    let n = Urm.Answer.size dict in
+    let i = Urm.Answer.add_id dict tuple 0. in
+    if Urm.Answer.size dict > n then seen := tuple :: !seen;
+    Json.Num (float_of_int i)
+  in
+  let part i =
+    let acc = eval i in
+    (* Groups keyed by the probability's bits, in first-seen order. *)
+    let groups = Hashtbl.create 8 and order = ref [] in
+    Urm.Answer.iter
+      (fun tuple p ->
+        let bits = Int64.bits_of_float p in
+        let ids =
+          match Hashtbl.find_opt groups bits with
+          | Some ids -> ids
+          | None ->
+            let ids = ref [] in
+            Hashtbl.add groups bits ids;
+            order := (p, ids) :: !order;
+            ids
+        in
+        ids := index tuple :: !ids)
+      acc;
+    Json.Obj
+      [
+        (key, Json.Num (float_of_int i));
+        ( "groups",
+          Json.Arr
+            (List.rev_map
+               (fun (p, ids) -> Json.Arr [ Json.Num p; Json.Arr (List.rev !ids) ])
+               !order) );
+        ("null_prob", Json.Num (Urm.Answer.null_prob acc));
+      ]
+  in
+  let parts = List.init (hi - lo) (fun j -> part (lo + j)) in
+  [
+    ( "tuples",
+      Json.Arr
+        (List.rev_map
+           (fun t -> Json.Arr (Array.to_list (Array.map value_to_json t)))
+           !seen) );
+    ("partials", Json.Arr parts);
+  ]
+
+let merge_partials answer reply =
+  let malformed what = failwith ("malformed partial reply: " ^ what) in
+  let tuples =
+    match Json.member "tuples" reply with
+    | Some (Json.Arr ts) ->
+      Array.of_list
+        (List.map
+           (function
+             | Json.Arr vs -> Array.of_list (List.map value_of_json vs)
+             | _ -> malformed "tuple is not an array")
+           ts)
+    | _ -> malformed "no tuple dictionary"
+  in
+  (* Dictionary index → bucket id, bound on the index's first
+     contribution. *)
+  let ids = Array.make (Array.length tuples) (-1) in
+  let contribute p = function
+    | Json.Num f
+      when Float.is_integer f && f >= 0. && f < float_of_int (Array.length tuples)
+      ->
+      let i = int_of_float f in
+      if ids.(i) < 0 then ids.(i) <- Urm.Answer.add_id answer tuples.(i) p
+      else Urm.Answer.bump answer ids.(i) p
+    | _ -> malformed "bad tuple index"
+  in
+  match Json.member "partials" reply with
+  | Some (Json.Arr parts) ->
+    List.iter
+      (fun part ->
+        (match Json.member "groups" part with
+        | Some (Json.Arr groups) ->
+          List.iter
+            (function
+              | Json.Arr [ Json.Num p; Json.Arr idxs ] -> List.iter (contribute p) idxs
+              | _ -> malformed "bad group")
+            groups
+        | _ -> malformed "part without groups");
+        match Json.member "null_prob" part with
+        | Some (Json.Num p) -> Urm.Answer.add_null answer p
+        | _ -> malformed "part without null_prob")
+      parts
+  | _ -> malformed "no partials"

@@ -64,3 +64,33 @@ val parse_reply : string -> (reply, string) result
 val value_to_json : Urm_relalg.Value.t -> Json.t
 
 val value_of_json : Json.t -> Urm_relalg.Value.t
+
+(** {1 Partial answers}
+
+    The shard fan-out's reply format (DESIGN.md "Sharded service &
+    binary framing").  A reply carries [tuples], a dictionary of its
+    distinct tuples in first-seen order, and [partials], one part per
+    mapping (or e-unit) in ascending order:
+    [{key: i, "groups": [[p, [index, …]], …], "null_prob": θ}], where each
+    group lists the dictionary indices of the part's tuples whose
+    probability is exactly [p]. *)
+
+(** [encode_partials ~output ~key ~lo ~hi eval] the [tuples] and
+    [partials] fields of a reply over parts [lo, hi): [eval i] is part
+    [i]'s answer (called once per part, in ascending order, and not kept),
+    and each part is labelled [key: i]. *)
+val encode_partials :
+  output:string list ->
+  key:string ->
+  lo:int ->
+  hi:int ->
+  (int -> Urm.Answer.t) ->
+  (string * Json.t) list
+
+(** [merge_partials answer reply] replays [reply]'s parts into [answer] in
+    order: each dictionary tuple is decoded once, its first contribution
+    goes through {!Urm.Answer.add_id} and later ones through
+    {!Urm.Answer.bump} — the same float additions, in the same order, as
+    one {!Urm.Answer.add} per (part, tuple).  Raises [Failure] on a
+    malformed reply. *)
+val merge_partials : Urm.Answer.t -> Json.t -> unit

@@ -202,7 +202,8 @@ let cached_eval t session q ~algorithm ~variant compute =
 
 (* Partial evaluation over a contiguous mapping range [lo, hi): the shard
    router's fan-out unit for the [basic] algorithm.  The reply carries one
-   answer per mapping (ascending), so the router can replay [urm_par]'s
+   part per mapping (ascending), dictionary-encoded
+   ({!Protocol.encode_partials}), so the router can replay [urm_par]'s
    per-item ascending merge exactly and recombine bit-identically to a
    single-process evaluation at any shard count.  Per-range subtotals
    would not be enough — float addition is non-associative, so only the
@@ -225,20 +226,14 @@ let exec_query_partial t session q ~alg_name ~lo ~hi : (Json.t, failure) result 
                   (Printf.sprintf "range [%d, %d) outside the %d mappings" lo hi n));
            let header = Urm.Reformulate.output_header q in
            let ms = Array.of_list mappings in
-           let parts =
-             List.init (hi - lo) (fun j ->
-                 let ctrs = Urm_relalg.Eval.fresh_counters () in
-                 let acc = Urm.Answer.create header in
-                 Urm.Basic.accumulate ~ctrs ctx q acc [ ms.(lo + j) ];
-                 Json.Obj
-                   [
-                     ("m", Json.Num (float_of_int (lo + j)));
-                     ("answers", answers_json acc max_int);
-                     ("null_prob", Json.Num (Urm.Answer.null_prob acc));
-                   ])
+           let eval i =
+             let ctrs = Urm_relalg.Eval.fresh_counters () in
+             let acc = Urm.Answer.create header in
+             Urm.Basic.accumulate ~ctrs ctx q acc [ ms.(i) ];
+             acc
            in
            Json.Obj
-             [
+             ([
                ("query", Json.Str (Urm.Query.to_string q));
                ("algorithm", Json.Str "basic");
                ( "range",
@@ -248,14 +243,14 @@ let exec_query_partial t session q ~alg_name ~lo ~hi : (Json.t, failure) result 
                      ("hi", Json.Num (float_of_int hi));
                    ] );
                ("output", Json.Arr (List.map (fun c -> Json.Str c) header));
-               ("partials", Json.Arr parts);
-             ]))
+             ]
+             @ Protocol.encode_partials ~output:header ~key:"m" ~lo ~hi eval)))
 
 (* Partial evaluation of the sharing algorithms: the shard router fans the
    distinct e-unit list instead of the mapping range.  Every worker holds
    every session, so each worker derives the same unit list deterministically
    and evaluates its contiguous chunk [slot·n/slots, (slot+1)·n/slots).  The
-   reply carries one answer per e-unit (ascending), so the router's
+   reply carries one part per e-unit (ascending), so the router's
    ascending-slot merge replays the factorized executor's per-unit bucket
    additions exactly and recombines bit-identically to a single process at
    any shard count.  [expect_h] is the router's cached mapping count — a
@@ -296,23 +291,12 @@ let exec_query_units t session q ~alg_name ~slot ~slots ~expect_h :
            let lo = slot * n / slots and hi = (slot + 1) * n / slots in
            let header = Urm.Reformulate.output_header q in
            let ua = Array.of_list units in
-           let parts =
-             List.init (hi - lo) (fun j ->
-                 let i = lo + j in
-                 let ctrs = Urm_relalg.Eval.fresh_counters () in
-                 let acc =
-                   (Urm.Factorized.eval ~ctrs ctx q [ ua.(i) ])
-                     .Urm.Factorized.answer
-                 in
-                 Json.Obj
-                   [
-                     ("u", Json.Num (float_of_int i));
-                     ("answers", answers_json acc max_int);
-                     ("null_prob", Json.Num (Urm.Answer.null_prob acc));
-                   ])
+           let eval i =
+             let ctrs = Urm_relalg.Eval.fresh_counters () in
+             (Urm.Factorized.eval ~ctrs ctx q [ ua.(i) ]).Urm.Factorized.answer
            in
            Json.Obj
-             [
+             ([
                ("query", Json.Str (Urm.Query.to_string q));
                ("algorithm", Json.Str alg_name);
                ("units", Json.Num (float_of_int n));
@@ -323,8 +307,8 @@ let exec_query_units t session q ~alg_name ~slot ~slots ~expect_h :
                      ("of", Json.Num (float_of_int slots));
                    ] );
                ("output", Json.Arr (List.map (fun c -> Json.Str c) header));
-               ("partials", Json.Arr parts);
-             ]))
+             ]
+             @ Protocol.encode_partials ~output:header ~key:"u" ~lo ~hi eval)))
 
 let exec_query t req : (Json.t, failure) result =
   match session_of t req with

@@ -463,39 +463,6 @@ let exec_mutate t (req : Protocol.request) =
 let answers_limit req =
   Option.value ~default:20 (Protocol.int_param req "answers")
 
-(* Merge per-mapping partial answers in ascending mapping order — the
-   urm_par discipline: each partial carries one mapping's bucket totals,
-   so one [Answer.add] per (mapping, tuple) replays the exact float
-   addition sequence of a sequential evaluation. *)
-let merge_partials ~output replies =
-  let answer = Urm.Answer.create output in
-  List.iter
-    (fun reply ->
-      match Json.member "partials" reply with
-      | Some (Json.Arr parts) ->
-        List.iter
-          (fun part ->
-            (match Json.member "answers" part with
-            | Some (Json.Arr items) ->
-              List.iter
-                (fun item ->
-                  match (Json.member "tuple" item, Json.member "prob" item) with
-                  | Some (Json.Arr vs), Some (Json.Num p) ->
-                    let tuple =
-                      Array.of_list (List.map Protocol.value_of_json vs)
-                    in
-                    Urm.Answer.add answer tuple p
-                  | _ -> failwith "malformed partial answer")
-                items
-            | _ -> failwith "partial without answers");
-            match Json.member "null_prob" part with
-            | Some (Json.Num p) -> Urm.Answer.add_null answer p
-            | _ -> failwith "partial without null_prob")
-          parts
-      | _ -> failwith "shard reply without partials")
-    replies;
-  answer
-
 (* The shared fan-out core: [slot_params ~shards ~h] builds, per attempt,
    the function giving each slot its extra request parameters ([None] for
    a slot with nothing to do).  The basic algorithm fans contiguous
@@ -569,7 +536,13 @@ let fan_out t (s : sess) (req : Protocol.request) ~alg ~slot_params =
           List.map (function Json.Str c -> c | _ -> "") cols
         | _ -> []
       in
-      let answer = merge_partials ~output replies in
+      (* Merge the per-mapping (or per-unit) parts in ascending order —
+         the urm_par discipline: replies arrive in ascending slot order,
+         and {!Protocol.merge_partials} replays each part with the float
+         additions of one [Answer.add] per (mapping, tuple), i.e. of a
+         sequential evaluation. *)
+      let answer = Urm.Answer.create output in
+      List.iter (Protocol.merge_partials answer) replies;
       let limit = answers_limit req in
       Protocol.ok ~id
         (Json.Obj

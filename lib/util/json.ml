@@ -25,9 +25,12 @@ let escape_into buf s =
     s;
   Buffer.add_char buf '"'
 
+(* Integer-valued numbers below 1e15 are exact ints, so [string_of_int]
+   prints what ["%.0f"] would without going through the format
+   interpreter; only -0. needs its sign kept by hand. *)
 let number_to_string f =
   if Float.is_integer f && Float.abs f < 1e15 then
-    Printf.sprintf "%.0f" f
+    if f = 0. && Float.sign_bit f then "-0" else string_of_int (int_of_float f)
   else Printf.sprintf "%.17g" f
 
 let to_string json =

@@ -292,6 +292,112 @@ let test_answer_arity_mismatch () =
   Alcotest.check_raises "arity" (Invalid_argument "Answer.add: arity mismatch")
     (fun () -> Urm.Answer.add a [| i 1 |] 0.5)
 
+(* [top_k] selects with a bounded heap; it must agree with the full sort
+   of [to_list] entry for entry, including under heavy probability ties,
+   tuples mixing every value kind, and answers whose ghost buckets were
+   compacted away. *)
+let qcheck_top_k_is_prefix_of_to_list =
+  let value =
+    QCheck.Gen.(
+      oneof
+        [
+          return Value.Null;
+          map (fun n -> Value.Int n) (int_range (-2) 3);
+          map (fun x -> Value.Float x) (oneofl [ 0.5; 1.5; -2.25; 0.; -0.; nan ]);
+          map (fun v -> Value.Str v) (oneofl [ ""; "a"; "b"; "ab" ]);
+        ])
+  in
+  let gen =
+    QCheck.Gen.(
+      triple
+        (list_size (0 -- 60)
+           (pair (array_size (return 2) value) (oneofl [ 0.1; 0.25; 0.5; 1.0 ])))
+        (list_size (0 -- 10) (int_bound 59))
+        (int_bound 70))
+  in
+  QCheck.Test.make ~name:"top_k is the k-prefix of to_list" ~count:300
+    (QCheck.make gen) (fun (adds, retract, extra_k) ->
+      let a = Urm.Answer.create [ "x"; "y" ] in
+      List.iter (fun (t, p) -> Urm.Answer.add a t p) adds;
+      (* Retract some tuples fully, leaving ghost buckets for [compact]. *)
+      let arr = Array.of_list adds in
+      List.iter
+        (fun j ->
+          if j < Array.length arr then
+            let t = fst arr.(j) in
+            Urm.Answer.add a t (-.Urm.Answer.prob_of a t))
+        retract;
+      if retract <> [] then Urm.Answer.compact a;
+      let ranked = Urm.Answer.to_list a in
+      let same (ta, pa) (tb, pb) =
+        Urm.Answer.tuple_equal ta tb && Int64.equal (Int64.bits_of_float pa) (Int64.bits_of_float pb)
+      in
+      let n = Urm.Answer.size a in
+      List.for_all
+        (fun k ->
+          List.equal same (Urm.Answer.top_k a k)
+            (List.filteri (fun i _ -> i < k) ranked))
+        [ 0; 1; n; n + 1; extra_k mod (n + 2) ])
+
+(* The shard partial codec: parts encoded as a tuple dictionary plus
+   per-part index groups, shipped as JSON text and merged back, must give
+   the answer one [Answer.add] per (part, tuple) builds — byte for byte. *)
+let qcheck_partial_codec =
+  let value =
+    QCheck.Gen.(
+      oneof
+        [
+          return Value.Null;
+          map (fun n -> Value.Int n) (int_range (-3) 3);
+          (* Integral floats read back as ints on the wire; keep them out. *)
+          map (fun n -> Value.Float (float_of_int n +. 0.5)) (int_range (-3) 3);
+          map (fun v -> Value.Str v) (oneofl [ ""; "a"; "q\"u\\o"; "\n" ]);
+        ])
+  in
+  let prob = QCheck.Gen.(oneof [ oneofl [ 0.1; 0.3 ]; float_bound_exclusive 1. ]) in
+  let part =
+    QCheck.Gen.(
+      pair
+        (list_size (0 -- 8) (pair (array_size (return 2) value) prob))
+        (oneof [ return 0.; float_bound_exclusive 0.5 ]))
+  in
+  let gen = QCheck.Gen.(pair (list_size (0 -- 7) part) nat) in
+  QCheck.Test.make ~name:"partial codec merges like per-tuple adds" ~count:300
+    (QCheck.make gen) (fun (parts, cut) ->
+      let output = [ "x"; "y" ] in
+      let answers =
+        Array.of_list
+          (List.map
+             (fun (rows, theta) ->
+               let a = Urm.Answer.create output in
+               List.iter (fun (t, p) -> Urm.Answer.add a t p) rows;
+               Urm.Answer.add_null a theta;
+               a)
+             parts)
+      in
+      let n = Array.length answers in
+      let expected = Urm.Answer.create output in
+      Array.iter
+        (fun a ->
+          Urm.Answer.iter (Urm.Answer.add expected) a;
+          Urm.Answer.add_null expected (Urm.Answer.null_prob a))
+        answers;
+      (* Two replies, as from two shards over [0, cut) and [cut, n). *)
+      let cut = if n = 0 then 0 else cut mod (n + 1) in
+      let got = Urm.Answer.create output in
+      List.iter
+        (fun (lo, hi) ->
+          let reply =
+            Urm_util.Json.Obj
+              (Urm_service.Protocol.encode_partials ~output ~key:"m" ~lo ~hi
+                 (fun i -> answers.(i)))
+          in
+          Urm_service.Protocol.merge_partials got
+            (Urm_util.Json.parse_exn (Urm_util.Json.to_string reply)))
+        [ (0, cut); (cut, n) ];
+      let render a = Urm_util.Json.to_string (Urm.Answer.to_json a) in
+      String.equal (render expected) (render got))
+
 (* ------------------------------------------------------------------ *)
 (* Partition tree *)
 
@@ -719,4 +825,6 @@ let suite =
     Alcotest.test_case "overlap frequencies" `Quick test_overlap_frequencies;
     Alcotest.test_case "mapgen from candidates" `Quick test_mapgen_from_candidates;
     QCheck_alcotest.to_alcotest qcheck_answers_agree;
+    QCheck_alcotest.to_alcotest qcheck_top_k_is_prefix_of_to_list;
+    QCheck_alcotest.to_alcotest qcheck_partial_codec;
   ]

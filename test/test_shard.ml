@@ -160,6 +160,40 @@ let qcheck_differential =
           String.equal expected got)
         f.routers)
 
+(* Q3 has the largest per-mapping partials of the fixture's queries:
+   the dictionary-encoded fan-out (basic over mapping ranges, e-MQO over
+   e-unit slots) must merge to the oracle's full answer byte for byte. *)
+let test_q3_fanout_differential () =
+  let f = Lazy.force fixture in
+  List.iter
+    (fun alg ->
+      let params = ("answers", Json.Num 1e6) :: query_params "Q3" alg in
+      let full json =
+        Json.to_string
+          (Json.Obj [ ("size", member "size" json); ("key", Json.Str (answer_key json)) ])
+      in
+      let expected =
+        full (call_or_fail ("oracle Q3 " ^ alg) f.c_oracle ~op:"query" params)
+      in
+      List.iter
+        (fun (shards, _, c) ->
+          if shards > 1 then begin
+            let reply =
+              call_or_fail
+                (Printf.sprintf "router %d Q3 %s" shards alg)
+                c ~op:"query" params
+            in
+            Alcotest.(check string)
+              (Printf.sprintf "Q3 %s fanned over %d shards" alg shards)
+              (Json.to_string (Json.Num (float_of_int shards)))
+              (Json.to_string (member "sharded" reply));
+            Alcotest.(check string)
+              (Printf.sprintf "Q3 %s via %d shards" alg shards)
+              expected (full reply)
+          end)
+        f.routers)
+    [ "basic"; "e-mqo" ]
+
 let test_approx_differential () =
   let f = Lazy.force fixture in
   let params =
@@ -427,6 +461,8 @@ let suite =
     Alcotest.test_case "fan-out ranges partition the mappings" `Quick
       test_hash_ranges;
     QCheck_alcotest.to_alcotest qcheck_differential;
+    Alcotest.test_case "Q3 basic and e-mqo fan out byte-identically" `Slow
+      test_q3_fanout_differential;
     Alcotest.test_case "approx is byte-identical through the router" `Slow
       test_approx_differential;
     Alcotest.test_case "topk and threshold forward byte-identically" `Slow

@@ -196,6 +196,34 @@ let qcheck_percentile_bounds =
       v >= List.fold_left min infinity xs -. 1e-9
       && v <= List.fold_left max neg_infinity xs +. 1e-9)
 
+(* The integer fast path of JSON number rendering must print exactly what
+   the general ["%.0f"]/["%.17g"] formatter prints. *)
+let qcheck_json_number_rendering =
+  let reference f =
+    if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
+    else Printf.sprintf "%.17g" f
+  in
+  let edges =
+    [ 0.; -0.; 1.; -1.; 1e15; -1e15; 1e15 -. 1.; -.(1e15 -. 1.); 1e15 +. 1.;
+      -.(1e15 +. 1.); 999999999999999.5; 4503599627370496.; max_float;
+      min_float; infinity; neg_infinity; nan; 0.5; -0.5; 2.5e-7 ]
+  in
+  let gen =
+    QCheck.Gen.(
+      oneof
+        [
+          oneofl edges;
+          map float_of_int int;
+          map (fun i -> float_of_int i +. 0.25) (int_range (-1_000_000) 1_000_000);
+          float;
+          map2 (fun m e -> Float.ldexp m e) (float_bound_inclusive 1.) (int_range (-60) 60);
+        ])
+  in
+  QCheck.Test.make ~name:"json numbers render like %.0f/%.17g" ~count:2000
+    (QCheck.make ~print:(Printf.sprintf "%h") gen)
+    (fun f ->
+      String.equal (Urm_util.Json.to_string (Urm_util.Json.Num f)) (reference f))
+
 let suite =
   [
     Alcotest.test_case "prng deterministic" `Quick test_prng_deterministic;
@@ -220,4 +248,5 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_heap_push_pop;
     QCheck_alcotest.to_alcotest qcheck_heap_copy_independent;
     QCheck_alcotest.to_alcotest qcheck_percentile_bounds;
+    QCheck_alcotest.to_alcotest qcheck_json_number_rendering;
   ]

@@ -276,6 +276,30 @@ let test_osharing_metrics_agree () =
         stats.Urm.Osharing.memo_hits hits)
     [ 1; 2; 3; 4; 5; 6 ]
 
+(* Regression: e-unit counts are per run.  They used to read a counter of
+   the shared metrics registry, so a Q2 top-k after a Q1 one reported the
+   e-units of both. *)
+let test_eunit_counts_are_per_run () =
+  let p = Lazy.force pipeline in
+  let run qname =
+    let target, q = Urm_workload.Queries.by_name qname in
+    let ctx = Urm_workload.Pipeline.ctx p target in
+    let ms = Urm_workload.Pipeline.mappings p target ~h:10 in
+    ( (Urm.Topk.run ~k:3 ctx q ms).Urm.Topk.visited_eunits,
+      (Urm.Threshold.run ~tau:0.3 ctx q ms).Urm.Threshold.visited_eunits,
+      (snd (Urm.Osharing.run_with_stats ctx q ms)).Urm.Osharing.eunits )
+  in
+  let alone = run "Q2" in
+  ignore (run "Q1");
+  let after = run "Q2" in
+  let topk (t, _, _) = t and threshold (_, t, _) = t and osharing (_, _, o) = o in
+  Alcotest.(check bool) "e-units visited" true (topk alone > 0);
+  Alcotest.(check int) "top-k: Q2 alone = Q2 after Q1" (topk alone) (topk after);
+  Alcotest.(check int) "threshold: Q2 alone = Q2 after Q1" (threshold alone)
+    (threshold after);
+  Alcotest.(check int) "o-sharing: Q2 alone = Q2 after Q1" (osharing alone)
+    (osharing after)
+
 let suite =
   [
     Alcotest.test_case "target schema sizes" `Quick test_target_schema_sizes;
@@ -286,6 +310,8 @@ let suite =
     Alcotest.test_case "all queries agree (integration)" `Slow test_every_query_runs_and_agrees;
     Alcotest.test_case "top-k sound (integration)" `Slow test_topk_sound_on_workload;
     Alcotest.test_case "sweep queries" `Quick test_sweep_queries;
+    Alcotest.test_case "e-unit counts are per run" `Quick
+      test_eunit_counts_are_per_run;
     Alcotest.test_case "experiments quick config" `Slow test_experiments_quick;
     Alcotest.test_case "hero rows" `Quick test_hero_rows_make_queries_satisfiable;
     Alcotest.test_case "monte-carlo validates workload" `Slow test_montecarlo_validates_workload;

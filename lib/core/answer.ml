@@ -344,7 +344,7 @@ let equal ?(eps = Prob.eps) a b =
 
 (* Serialisation follows [to_list]'s deterministic ranking, so two answers
    with bit-identical probabilities render to byte-identical JSON — the
-   property the jobs=1 vs jobs=N determinism regression checks. *)
+   property the shard fan-out and cache byte-compares rely on. *)
 let to_json t =
   let rows = to_list t in
   let open Urm_util.Json in

@@ -12,9 +12,9 @@ let timed sw f =
     Urm_util.Timer.Stopwatch.start sw;
     Fun.protect ~finally:(fun () -> Urm_util.Timer.Stopwatch.stop sw) f
 
-(* One mapping's rewrite→evaluate→aggregate step, shared by the sequential
-   loop (which attributes the phases to stopwatches) and the parallel
-   driver (which times whole chunks instead and passes no stopwatches).
+(* One mapping's rewrite→evaluate→aggregate step, shared by the timed
+   loop of [run_scoped] (which attributes the phases to stopwatches) and
+   [accumulate] (which passes no stopwatches).
 
    [memo] (vectorized engine only) caches, per accumulation run, the
    answer-bucket cells each distinct reformulation key touched: mappings

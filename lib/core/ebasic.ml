@@ -16,16 +16,11 @@ let distinct_source_queries (ctx : Ctx.t) q ms =
   List.rev_map (fun k -> !(Hashtbl.find groups k)) !order
 
 let timed sw f =
-  match sw with
-  | None -> f ()
-  | Some sw ->
-    Urm_util.Timer.Stopwatch.start sw;
-    Fun.protect ~finally:(fun () -> Urm_util.Timer.Stopwatch.stop sw) f
+  Urm_util.Timer.Stopwatch.start sw;
+  Fun.protect ~finally:(fun () -> Urm_util.Timer.Stopwatch.stop sw) f
 
-(* One distinct source query's evaluate→aggregate step, shared by the
-   sequential loop below and the domain-parallel driver (which fans
-   contiguous chunks of the distinct list). *)
-let eval_unit ?evaluate_sw ?aggregate_sw ~ctrs (ctx : Ctx.t) acc (sq, p) =
+(* One distinct source query's evaluate→aggregate step. *)
+let eval_unit ~evaluate_sw ~aggregate_sw ~ctrs (ctx : Ctx.t) acc (sq, p) =
   let rel =
     timed evaluate_sw (fun () ->
         match sq.Reformulate.body with
@@ -37,9 +32,6 @@ let eval_unit ?evaluate_sw ?aggregate_sw ~ctrs (ctx : Ctx.t) acc (sq, p) =
       match rel with
       | Some r -> Reformulate.answers_into acc sq ~factor r p
       | None -> Reformulate.null_answer_into acc sq ~factor p)
-
-let accumulate_units ~ctrs ctx acc units =
-  List.iter (eval_unit ~ctrs ctx acc) units
 
 (* The interpreted per-unit loop — the factorized executor's differential
    oracle. *)

@@ -10,9 +10,8 @@ let body_expr (sq, _) =
    Contributions are kept per unit instead of being folded into one
    accumulator in plan-execution order: callers merge the parts in
    ascending unit order, so probabilities accumulate in a
-   schedule-independent order — the plan's internal evaluation order (and,
-   for the domain-parallel driver, the chunking) cannot perturb the final
-   float sums. *)
+   schedule-independent order — the plan's internal evaluation order
+   cannot perturb the final float sums. *)
 let eval_units ~ctrs (ctx : Ctx.t) q units =
   let units = Array.of_list units in
   let header = Reformulate.output_header q in

@@ -514,9 +514,8 @@ let exec_op env u op group =
    Algorithm 4 when [emit] stops early). *)
 
 (* Operator selection plus partition ordering for one e-unit — the prefix
-   of [run_qt] before it recurses.  Exposed so the domain-parallel
-   o-sharing driver can fan the root's partitions across domains while
-   visiting (merging) them in exactly this order. *)
+   of [run_qt] before it recurses.  Partitions are visited in decreasing
+   probability mass. *)
 let branches env u =
   env.eunits <- env.eunits + 1;
   Urm_obs.Metrics.incr env.c_eunits;

@@ -8,7 +8,6 @@ type config = {
   queue_depth : int;
   cache_capacity : int;
   send_timeout : float;
-  eval_jobs : int;
   engine : Urm_relalg.Compile.engine;
 }
 
@@ -20,7 +19,6 @@ let default_config =
     queue_depth = 64;
     cache_capacity = 256;
     send_timeout = 10.;
-    eval_jobs = 1;
     engine = Urm_relalg.Compile.Vectorized;
   }
 
@@ -84,9 +82,6 @@ type t = {
   mutable readers : Thread.t list;
   conns_lock : Mutex.t;
   lat : ring;
-  pool : Urm_par.Pool.t option;
-      (* one evaluation pool shared by all worker domains; Pool serialises
-         rounds internally, so concurrent requests queue for it in turn *)
   mutable workers : unit Domain.t array;
   mutable acceptor : Thread.t option;
 }
@@ -203,8 +198,8 @@ let cached_eval t session q ~algorithm ~variant compute =
 (* Partial evaluation over a contiguous mapping range [lo, hi): the shard
    router's fan-out unit for the [basic] algorithm.  The reply carries one
    part per mapping (ascending), dictionary-encoded
-   ({!Protocol.encode_partials}), so the router can replay [urm_par]'s
-   per-item ascending merge exactly and recombine bit-identically to a
+   ({!Protocol.encode_partials}), so the router can replay the per-item
+   ascending merge exactly and recombine bit-identically to a
    single-process evaluation at any shard count.  Per-range subtotals
    would not be enough — float addition is non-associative, so only the
    per-item parts pin the grouping. *)
@@ -373,11 +368,7 @@ let exec_query t req : (Json.t, failure) result =
           (cached_eval t session q ~algorithm:alg_name ~variant (fun snap ->
                let ctx = snap.Urm_incr.Vcatalog.ctx
                and mappings = snap.Urm_incr.Vcatalog.mappings in
-               let report =
-                 match t.pool with
-                 | Some pool -> Urm_par.Drivers.run ~pool alg ctx q mappings
-                 | None -> Urm.Algorithms.run alg ctx q mappings
-               in
+               let report = Urm.Algorithms.run alg ctx q mappings in
                let answer = report.Urm.Report.answer in
                Json.Obj
                  [
@@ -974,7 +965,6 @@ let acceptor_loop t () =
 let start ?(metrics = Metrics.scope Metrics.global "service") (cfg : config) =
   if cfg.workers <= 0 then invalid_arg "Server.start: workers must be positive";
   if cfg.queue_depth <= 0 then invalid_arg "Server.start: queue_depth must be positive";
-  if cfg.eval_jobs <= 0 then invalid_arg "Server.start: eval_jobs must be positive";
   (* A write to a disconnected client must surface as EPIPE/Sys_error in
      [send] — the default SIGPIPE action would terminate the process. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
@@ -1006,10 +996,6 @@ let start ?(metrics = Metrics.scope Metrics.global "service") (cfg : config) =
       readers = [];
       conns_lock = Mutex.create ();
       lat = ring_create 4096;
-      pool =
-        (if cfg.eval_jobs > 1 then
-           Some (Urm_par.Pool.create ~metrics ~jobs:cfg.eval_jobs ())
-         else None);
       workers = [||];
       acceptor = None;
     }
@@ -1021,7 +1007,6 @@ let start ?(metrics = Metrics.scope Metrics.global "service") (cfg : config) =
 let wait t =
   (match t.acceptor with Some th -> Thread.join th | None -> ());
   Array.iter Domain.join t.workers;
-  Option.iter Urm_par.Pool.shutdown t.pool;
   Mutex.lock t.conns_lock;
   let conns = t.conns and readers = t.readers in
   t.conns <- [];

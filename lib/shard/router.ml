@@ -536,8 +536,8 @@ let fan_out t (s : sess) (req : Protocol.request) ~alg ~slot_params =
           List.map (function Json.Str c -> c | _ -> "") cols
         | _ -> []
       in
-      (* Merge the per-mapping (or per-unit) parts in ascending order —
-         the urm_par discipline: replies arrive in ascending slot order,
+      (* Merge the per-mapping (or per-unit) parts in ascending order:
+         replies arrive in ascending slot order,
          and {!Protocol.merge_partials} replays each part with the float
          additions of one [Answer.add] per (mapping, tuple), i.e. of a
          sequential evaluation. *)

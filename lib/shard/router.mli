@@ -14,8 +14,8 @@
     [query] with algorithm [basic] fans out: each shard evaluates a
     contiguous mapping range ([range_lo]/[range_hi], see {!Server}) and
     returns per-mapping partial answers; the router merges them in
-    ascending mapping order — exactly the [urm_par] per-item merge
-    discipline — so the recombined answer is bit-identical to sequential
+    ascending mapping order — the float-addition order of a sequential
+    evaluation — so the recombined answer is bit-identical to sequential
     evaluation at any shard count (JSON floats render as %.17g and
     round-trip exactly).
 

@@ -341,44 +341,6 @@ let test_mapping_io_rejects_garbage () =
   | _ -> Alcotest.fail "garbage accepted"
 
 (* ------------------------------------------------------------------ *)
-(* Data translation *)
-
-let test_translate_relation () =
-  let ctx = ctx () in
-  let m = List.hd (mappings ()) in
-  (* m0 maps pname←cname, phone←ophone, addr←oaddr *)
-  let person = Urm.Translate.relation ctx m "Person" in
-  Alcotest.(check (list string)) "target header"
-    [ "pname"; "phone"; "addr"; "nation"; "gender" ]
-    (Relation.cols person);
-  Alcotest.(check int) "three customers" 3 (Relation.cardinality person);
-  Alcotest.(check bool) "values translated" true
-    (Relation.fold
-       (fun acc row -> acc || Value.equal row.(0) (s "Alice"))
-       false person);
-  (* unmapped attributes are Null *)
-  Relation.iter
-    (fun row -> Alcotest.(check bool) "nation null" true (Value.is_null row.(3)))
-    person
-
-let test_translate_catalog_and_expectation () =
-  let ctx = ctx () in
-  let ms = mappings () in
-  let cat = Urm.Translate.catalog ctx (List.hd ms) in
-  Alcotest.(check bool) "Person present" true (Catalog.mem cat "Person");
-  let expected = Urm.Translate.expected_cardinalities ctx ms in
-  let person_exp = List.assoc "Person" expected in
-  (* every mapping yields 3 distinct person rows *)
-  Alcotest.(check (float 1e-9)) "expected card" 3.0 person_exp
-
-let test_translate_unmapped_relation_empty () =
-  let ctx = ctx () in
-  let m = Urm.Mapping.make ~id:9 ~prob:1. ~score:1. [ ("Person.phone", "Customer.ophone") ] in
-  (* no Order.* correspondences → would-be empty relation *)
-  let person = Urm.Translate.relation ctx m "Person" in
-  Alcotest.(check bool) "person non-empty" true (Relation.cardinality person > 0)
-
-(* ------------------------------------------------------------------ *)
 (* Monte-Carlo validation + lineage *)
 
 let test_montecarlo_close_to_exact () =
@@ -519,9 +481,6 @@ let suite =
     Alcotest.test_case "mapping io roundtrip" `Quick test_mapping_io_roundtrip;
     Alcotest.test_case "mapping io file" `Quick test_mapping_io_file;
     Alcotest.test_case "mapping io rejects garbage" `Quick test_mapping_io_rejects_garbage;
-    Alcotest.test_case "translate relation" `Quick test_translate_relation;
-    Alcotest.test_case "translate catalog + expectation" `Quick test_translate_catalog_and_expectation;
-    Alcotest.test_case "translate partial mapping" `Quick test_translate_unmapped_relation_empty;
     Alcotest.test_case "monte-carlo close to exact" `Quick test_montecarlo_close_to_exact;
     Alcotest.test_case "monte-carlo sampler" `Quick test_montecarlo_sampler_distribution;
     Alcotest.test_case "lineage" `Quick test_lineage;
